@@ -32,9 +32,9 @@ Three pieces:
   to prevent (the harness must *detect* that loss; a negative control
   that passes means the detector is broken).
 
-The sweep is wired as ``scripts/replication_sim.py`` / ``make
-replication-sim``; everything runs in-process so a few hundred scenarios
-finish in minutes.
+This is the ``replication`` suite of :mod:`repro.sim`: ``scripts/sim.py
+replication`` / ``make replication-sim``; everything runs in-process so a
+few hundred scenarios finish in minutes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 
 from repro.obs.metrics import METRICS
 from repro.server.client import (
@@ -54,19 +53,17 @@ from repro.server.client import (
     connect,
 )
 from repro.server.daemon import ReproServer, ServerConfig
+from repro.sim import scenarios
 from repro.store.fsck import fsck_image
 
 __all__ = [
     "ChaosProxy",
     "ClusterHarness",
-    "ScenarioResult",
+    "NEGATIVE_CONTROL",
     "build_scenarios",
     "scenario_negative_control",
-    "run_sweep",
 ]
 
-_SCENARIOS = METRICS.counter("server.netchaos.scenarios", "chaos scenarios run")
-_FAILURES = METRICS.counter("server.netchaos.failures", "chaos scenarios failed")
 _FAULTS = METRICS.counter("server.netchaos.faults", "faults injected")
 
 _CHUNK = 4096
@@ -202,24 +199,6 @@ class ChaosProxy:
         except OSError:
             pass
         self.kill_connections()
-
-
-@dataclass
-class ScenarioResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    elapsed_s: float = 0.0
-    checks: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "checks": self.checks,
-        }
 
 
 class ChaosError(AssertionError):
@@ -563,7 +542,7 @@ def scenario_negative_control(root: str) -> dict:
     acked write vanishes, and the standard
     :meth:`ClusterHarness.check_acked_writes` invariant raises — so the
     sweep reports a failure and the sim exits nonzero.  CI inverts the
-    invocation (``! replication_sim.py --negative-control``): a zero exit
+    invocation (``! sim.py replication --negative-control``): a zero exit
     here would mean the detector can no longer see lost writes.
     """
     harness = ClusterHarness(root, replicas=1, sync_replicas=1, fence=False)
@@ -604,13 +583,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
     """The full sweep: (name, thunk(root)) pairs, ≥200 scenarios."""
     kinds = ["blackhole", "delay", "truncate", "drop-connect", "reset"]
     steps = [1, 4, 7] if quick else list(range(10))
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append(
-            (name, lambda root, a=args, k=kwargs: fn(root, *a, **k))
-        )
-
+    found, add = scenarios()
     for kind in kinds:
         for step in steps:
             add(f"link/{kind}/s{step}", scenario_link_fault, kind, step)
@@ -648,46 +621,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
         for step in failover_steps:
             mode = "crash" if crash else "stop"
             add(f"failover/{mode}/s{step}", scenario_failover, crash, step)
-    return scenarios
+    return found
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [("negative-control/unfenced", scenario_negative_control)]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+NEGATIVE_CONTROL = ("negative-control/unfenced", scenario_negative_control)

@@ -166,6 +166,7 @@ class _Subscriber:
         self.key = key
         self.node = node
         self.send = send  # session.send — thread-safe, raises OSError when gone
+        #: ChangeRecords and ready push frames (dicts), sent in order
         self.queue: queue.Queue = queue.Queue()
         #: highest version this follower acknowledged as applied
         self.acked = acked
@@ -346,11 +347,13 @@ class PrimaryReplication:
     def _pump(self, sub: _Subscriber) -> None:
         while sub.alive and not self._stopped:
             try:
-                record = sub.queue.get(timeout=0.5)
+                item = sub.queue.get(timeout=0.5)
             except queue.Empty:
                 continue
+            if isinstance(item, ChangeRecord):
+                item = {"push": "record", "record": item.as_wire()}
             try:
-                sub.send({"push": "record", "record": record.as_wire()})
+                sub.send(item)
             except (OSError, protocol.ProtocolError):
                 self.drop_subscriber(sub.key)
                 return
@@ -363,14 +366,15 @@ class PrimaryReplication:
         status — the signal a cluster client uses to fail writes over
         instead of hammering a read-only primary.  Pre-v5 followers skip
         unknown push kinds, so the frame is backward-safe.
+
+        The frame goes through each subscriber's queue, behind the records
+        already queued: a record push clears the follower's flag, so a
+        record committed before the failure must not arrive after it.
         """
         with self._fanout:
             subs = list(self._subs.values())
         for sub in subs:
-            try:
-                sub.send({"push": "degraded", "reason": reason})
-            except (OSError, protocol.ProtocolError):
-                self.drop_subscriber(sub.key)
+            sub.queue.put({"push": "degraded", "reason": reason})
 
     def ack(self, key: int, version: int) -> None:
         with self._fanout:

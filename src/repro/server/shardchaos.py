@@ -33,12 +33,12 @@ coordinator's resolver to drain all in-doubt state) and asserts:
 two phase-two deliveries (``mid-decide``): on restart nothing proves the
 commit happened, recovery presumes abort, and the shard that already
 applied disagrees with the one that rolled back — invariant 2 must
-catch the half-applied batch.  CI runs this inverted (``!
-sharding_sim.py --negative-control``): a passing negative control means
-the detector is blind.
+catch the half-applied batch.  CI runs this inverted (``! sim.py
+sharding --negative-control``): a passing negative control means the
+detector is blind.
 
-The sweep is wired as ``scripts/sharding_sim.py`` / ``make
-sharding-sim``.
+This is the ``sharding`` suite of :mod:`repro.sim`: ``scripts/sim.py
+sharding`` / ``make sharding-sim``.
 """
 
 from __future__ import annotations
@@ -46,36 +46,23 @@ from __future__ import annotations
 import os
 import time
 
-from repro.obs.metrics import METRICS
 from repro.server.client import (
     ClientError,
-    ClusterClient,
     RetryPolicy,
     ServerError,
     connect,
 )
 from repro.server.daemon import ReproServer, ServerConfig
-from repro.server.netchaos import (
-    ChaosError,
-    ChaosProxy,
-    ClusterHarness,
-    ScenarioResult,
-)
+from repro.server.netchaos import ChaosError, ChaosProxy, ClusterHarness
 from repro.server.sharding.ring import ShardTopology
+from repro.sim import scenarios, wait_until
 
 __all__ = [
+    "NEGATIVE_CONTROL",
     "ShardedHarness",
     "build_scenarios",
     "scenario_negative_control",
-    "run_sweep",
 ]
-
-_SCENARIOS = METRICS.counter(
-    "server.shardchaos.scenarios", "sharded chaos scenarios run"
-)
-_FAILURES = METRICS.counter(
-    "server.shardchaos.failures", "sharded chaos scenarios failed"
-)
 
 
 class ShardedHarness:
@@ -355,16 +342,16 @@ class ShardedHarness:
 
 
 def _wait_recovered(harness: ShardedHarness, timeout: float = 20.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    def recovered() -> bool:
         try:
             with connect(harness.coordinator.port, timeout=5.0) as db:
-                if db.topology().get("recovered"):
-                    return
+                return bool(db.topology().get("recovered"))
         except (ClientError, ServerError):
-            pass
-        time.sleep(0.1)
-    raise ChaosError("coordinator never finished boot recovery")
+            return False
+
+    wait_until(
+        recovered, timeout, "coordinator never finished boot recovery", interval=0.1
+    )
 
 
 def scenario_baseline(root: str, batches: int = 6) -> dict:
@@ -525,13 +512,7 @@ def scenario_negative_control(root: str) -> dict:
 
 def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
     """The sweep: (name, thunk(root)) pairs."""
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append(
-            (name, lambda root, a=args, k=kwargs: fn(root, *a, **k))
-        )
-
+    found, add = scenarios()
     add("baseline", scenario_baseline)
     kinds = ["blackhole", "drop-connect", "reset"]
     steps = [2] if quick else [1, 2, 3]
@@ -560,48 +541,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
                 step,
             )
     add("post-ack-crash", scenario_post_ack_crash)
-    return scenarios
+    return found
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [
-            ("negative-control/no-durable-decision", scenario_negative_control)
-        ]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+NEGATIVE_CONTROL = ("negative-control/no-durable-decision", scenario_negative_control)

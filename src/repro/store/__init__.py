@@ -10,7 +10,6 @@ crash-point harness), :mod:`repro.store.fsck` (offline check/repair) and
 :mod:`repro.store.format` (v1 → v2 migration); see docs/durability.md.
 """
 
-from repro.store.crashsim import CrashSimReport, run_crash_sim
 from repro.store.faults import CrashPoint, FaultFile, FaultPlan
 from repro.store.fsck import FsckResult, fsck_image
 from repro.store.heap import HeapError, ObjectHeap, Transaction
@@ -36,8 +35,6 @@ __all__ = [
     "CrashPoint",
     "FaultFile",
     "FaultPlan",
-    "CrashSimReport",
-    "run_crash_sim",
     "FsckResult",
     "fsck_image",
     "DecodedPtml",

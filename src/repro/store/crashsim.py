@@ -25,31 +25,44 @@ committed state nor the next one?  It answers by brute force:
    expected after a crash and are *not* errors).
 
 The workload is deterministic, so "crash at op *k*" names a unique
-machine state; the sweep over *k* is exhaustive by construction.  Run it
-from the command line via ``scripts/crash_sim.py`` (the CI ``crash-sim``
-job does) or from tests via :func:`run_crash_sim`.
+machine state; the sweep over *k* is exhaustive by construction.
+
+This is the ``crash`` suite of :mod:`repro.sim` (``scripts/sim.py crash``
+/ ``make crash-sim``): :func:`build_scenarios` makes every (mode, crash
+point) pair one scenario.  Tests call :func:`run_crash_sim`, which runs
+the same sweep in one call and returns a :class:`CrashSimReport`.
+
+:func:`scenario_negative_control` sweeps the torn mode (without fsck) over
+:func:`negative_control_workload`, whose last step stores a run-varying
+value: no replay can match its recorded expectation, so the comparator
+must flag it.  CI inverts the invocation; a passing negative control
+means the third-state detector is broken.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.obs.metrics import METRICS
 from repro.store.faults import CrashPoint, FaultPlan
 from repro.store.heap import ObjectHeap
 
-__all__ = ["CrashSimReport", "default_workload", "run_crash_sim", "MODES"]
-
-_SCENARIOS = METRICS.counter(
-    "store.crashsim.scenarios", "crash-point scenarios executed"
-)
-_FAILURES = METRICS.counter(
-    "store.crashsim.failures", "crash-point scenarios that broke durability"
-)
+__all__ = [
+    "CrashSimError",
+    "CrashSimReport",
+    "MODES",
+    "NEGATIVE_CONTROL",
+    "build_scenarios",
+    "default_workload",
+    "negative_control_workload",
+    "run_crash_sim",
+    "scenario_negative_control",
+]
 
 #: the four failure models: every write durable immediately; the crashing
 #: write half-persisted; nothing durable but what was fsynced; and both.
@@ -90,6 +103,25 @@ def default_workload() -> list[Step]:
         heap.set_root("a", heap.store("rebound"))
 
     return [s1, s2, s3, s4, s5]
+
+
+def negative_control_workload() -> list[Step]:
+    """The default workload plus one run-varying step.
+
+    The counting run records one value; every scenario replay stores a
+    different one, so the reopened state can never match the recorded
+    pre- or post-commit expectation and the comparator must flag it.
+    """
+    ticket = itertools.count(1)
+
+    def nondeterministic(heap: ObjectHeap, state: dict) -> None:
+        heap.set_root("negative", heap.store(("run", next(ticket))))
+
+    return [*default_workload(), nondeterministic]
+
+
+class CrashSimError(AssertionError):
+    """A crash point reopened to a third state, or failed recovery/fsck."""
 
 
 @dataclass
@@ -157,13 +189,35 @@ def run_crash_sim(
     scratch = os.path.join(workdir, "scenario.tyc")
     started = time.monotonic()
 
-    # 1. pristine baseline image, built fault-free
+    report = CrashSimReport(page_size=page_size, modes=tuple(modes))
+    report.io_ops, states = _baseline_and_count(baseline, scratch, page_size, steps)
+    report.commits = len(states) - 1
+
+    # 3. the exhaustive sweep
+    for mode in modes:
+        for crash_at in range(report.io_ops):
+            report.scenarios += 1
+            failure = _run_scenario(
+                baseline, scratch, page_size, steps, states, mode, crash_at, fsck
+            )
+            if failure is not None:
+                if len(report.failures) < max_failures:
+                    report.failures.append(failure)
+            if fsck:
+                report.fsck_runs += 1
+    report.duration_s = time.monotonic() - started
+    return report
+
+
+def _baseline_and_count(
+    baseline: str, scratch: str, page_size: int, steps: Sequence[Step]
+) -> tuple[int, list[dict[str, Any]]]:
+    """Steps 1 and 2: build the pristine baseline image fault-free, then
+    replay the workload once on a copy through a counting fault plan;
+    returns N (the run's I/O operations) and the state after each commit."""
     if os.path.exists(baseline):
         os.remove(baseline)
     ObjectHeap(baseline, page_size).close()
-
-    # 2. counting run: learn N and the expected state after each commit
-    report = CrashSimReport(page_size=page_size, modes=tuple(modes))
     shutil.copyfile(baseline, scratch)
     count_plan = FaultPlan()
     heap = ObjectHeap(scratch, page_size, io_factory=count_plan.file_factory)
@@ -174,25 +228,62 @@ def run_crash_sim(
         heap.commit()
         states.append(_snapshot(heap))
     heap.close()
-    report.io_ops = count_plan.ops
-    report.commits = len(states) - 1
+    return count_plan.ops, states
 
-    # 3. the exhaustive sweep
-    for mode in modes:
-        for crash_at in range(report.io_ops):
-            report.scenarios += 1
-            _SCENARIOS.inc()
-            failure = _run_scenario(
-                baseline, scratch, page_size, steps, states, mode, crash_at, fsck
+
+def build_scenarios(quick: bool = False) -> list[tuple[str, Callable[[str], dict]]]:
+    """One scenario per (mode, crash point) of the default workload at page
+    size 256, fsck included.  The sweep is exhaustive by construction, so
+    ``quick`` selects the same grid."""
+    page_size = 256
+    steps = default_workload()
+    with tempfile.TemporaryDirectory(prefix="crash-sim-") as workdir:
+        baseline = os.path.join(workdir, "baseline.tyc")
+        io_ops, states = _baseline_and_count(
+            baseline, os.path.join(workdir, "count.tyc"), page_size, steps
+        )
+        with open(baseline, "rb") as f:
+            pristine = f.read()
+
+    def crash_point(root: str, mode: str, crash_at: int) -> dict:
+        os.makedirs(root, exist_ok=True)
+        base = os.path.join(root, "baseline.tyc")
+        with open(base, "wb") as f:
+            f.write(pristine)
+        failure = _run_scenario(
+            base, os.path.join(root, "scenario.tyc"), page_size, steps, states,
+            mode, crash_at, fsck=True,
+        )
+        if failure is not None:
+            raise CrashSimError(
+                f"{failure['commits_done']} commits done: {failure['error']}"
             )
-            if failure is not None:
-                _FAILURES.inc()
-                if len(report.failures) < max_failures:
-                    report.failures.append(failure)
-            if fsck:
-                report.fsck_runs += 1
-    report.duration_s = time.monotonic() - started
-    return report
+        return {}
+
+    return [
+        (f"{mode}/op{crash_at}",
+         lambda root, m=mode, k=crash_at: crash_point(root, m, k))
+        for mode in MODES
+        for crash_at in range(io_ops)
+    ]
+
+
+def scenario_negative_control(root: str) -> dict:
+    """The torn-mode sweep, without fsck, over the run-varying workload: it
+    MUST report a third state (see the module docstring)."""
+    report = run_crash_sim(
+        root, modes=("torn",), workload=negative_control_workload(), fsck=False
+    )
+    if not report.ok:
+        first = report.failures[0]
+        raise CrashSimError(
+            f"{len(report.failures)} failing crash points; first: "
+            f"{first['mode']} @ op {first['crash_at']}: {first['error']}"
+        )
+    return report.as_dict()
+
+
+NEGATIVE_CONTROL = ("negative-control/nondeterministic", scenario_negative_control)
 
 
 def _run_scenario(

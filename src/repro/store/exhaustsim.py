@@ -37,7 +37,8 @@ commit publishes the torn write the client was told had failed — the
 acked-values check must detect the resurrection.  CI inverts the
 invocation; a passing negative control means the detector is broken.
 
-Wired as ``scripts/exhaustion_sim.py`` / ``make exhaustion-sim``.
+The ``exhaustion`` suite of :mod:`repro.sim`: ``scripts/sim.py exhaustion``
+/ ``make exhaustion-sim``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import os
 import threading
 import time
 
-from repro.obs.metrics import METRICS
 from repro.server.client import (
     BusyError,
     ClientError,
@@ -56,6 +56,7 @@ from repro.server.client import (
     connect,
 )
 from repro.server.daemon import ReproServer, ServerConfig
+from repro.sim import scenarios, wait_until
 from repro.store.faults import FaultPlan
 from repro.store.fsck import fsck_image
 from repro.store.heap import HeapError, ObjectHeap
@@ -63,36 +64,14 @@ from repro.store.heap import HeapError, ObjectHeap
 __all__ = [
     "ExhaustError",
     "ExhaustionHarness",
-    "ScenarioResult",
+    "NEGATIVE_CONTROL",
     "build_scenarios",
     "scenario_negative_control",
-    "run_sweep",
 ]
-
-_SCENARIOS = METRICS.counter("store.exhaustsim.scenarios", "exhaustion scenarios run")
-_FAILURES = METRICS.counter("store.exhaustsim.failures", "exhaustion scenarios failed")
 
 
 class ExhaustError(AssertionError):
     """A scenario invariant was violated."""
-
-
-class ScenarioResult:
-    def __init__(self, name, ok, detail="", elapsed_s=0.0, checks=None):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.elapsed_s = elapsed_s
-        self.checks = checks or {}
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "checks": self.checks,
-        }
 
 
 class ExhaustionHarness:
@@ -220,17 +199,11 @@ class ExhaustionHarness:
             raise ExhaustError(f"bad ping reply: {info}")
 
     def assert_degraded(self, expected: bool, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            info = self.ping()
-            if bool(info.get("degraded")) == expected:
-                return
-            if time.monotonic() >= deadline:
-                raise ExhaustError(
-                    f"daemon degraded={info.get('degraded')}, expected {expected} "
-                    f"(reason={info.get('degraded_reason')!r})"
-                )
-            time.sleep(0.02)
+        wait_until(
+            lambda: bool(self.ping().get("degraded")) == expected,
+            timeout,
+            f"daemon never reached degraded={expected}",
+        )
 
     def assert_write_rejected_read_only(self) -> None:
         with connect(self.server.port) as db:
@@ -390,19 +363,19 @@ def scenario_memory_ceiling(root: str) -> dict:
         if not saw_memory_busy:
             raise ExhaustError("memory budget never rejected a write")
         # the watchdog sheds cache below budget; then writes flow again
-        deadline = time.monotonic() + 5.0
-        recovered = False
         with connect(harness.server.port) as db:
-            while time.monotonic() < deadline:
+
+            def write_after_shed() -> bool:
                 try:
                     db.set("after-shed", 1)
                 except BusyError:
-                    time.sleep(0.05)
-                else:
-                    recovered = True
-                    break
-        if not recovered:
-            raise ExhaustError("writes never recovered after memory shedding")
+                    return False
+                return True
+
+            wait_until(
+                write_after_shed, 5.0,
+                "writes never recovered after memory shedding", interval=0.05,
+            )
         harness.acked["after-shed"] = 1
         harness.attempted.setdefault("after-shed", set()).add(1)
         harness.check_no_read_failures()
@@ -546,11 +519,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
     """The sweep: (name, thunk(root)) pairs — write/fsync one-shot faults
     across op positions and errnos, a persistent outage per errno, the
     memory ceiling and the open-loop overload."""
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append((name, lambda root, a=args, k=kwargs: fn(root, *a, **k)))
-
+    found, add = scenarios()
     errnos = {"enospc": errno.ENOSPC, "eio": errno.EIO, "edquot": errno.EDQUOT}
     if quick:
         errnos = {"enospc": errno.ENOSPC, "eio": errno.EIO}
@@ -563,46 +532,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
         add(f"outage/{label}", scenario_persistent_outage, code)
     add("memory/ceiling", scenario_memory_ceiling)
     add("overload/open-loop", scenario_open_loop_overload)
-    return scenarios
+    return found
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [("negative-control/no-degraded", scenario_negative_control)]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+NEGATIVE_CONTROL = ("negative-control/no-degraded", scenario_negative_control)

@@ -22,6 +22,7 @@ for scratch images in the code-shipping example.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -134,6 +135,11 @@ class ObjectHeap:
         #: LRU order: oldest first (only consulted when cache_limit is set)
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._cache_limit = cache_limit
+        #: makes a load (cache lookup, page read, decode, insert) and an
+        #: eviction pass atomic: snapshot readers share the heap, and the
+        #: memory watchdog evicts without any transaction lock.  Reentrant
+        #: because decoding resolves nested refs through load().
+        self._cache_lock = threading.RLock()
         #: oid -> serialized size of the *cached* object, where known (set
         #: on load and commit); the sum is the memory-governance signal
         self._sizes: dict[int, int] = {}
@@ -201,24 +207,25 @@ class ObjectHeap:
         self._check_open()
         key = int(oid)
         _HEAP_LOADS.inc()
-        cached = self._cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            if self._cache_limit is not None:
-                self._cache.move_to_end(key)
-            return cached
-        entry = self._table.get(key)
-        if entry is None or self._pager is None:
-            raise HeapError(f"unknown oid {key}")
-        _HEAP_FAULTS.inc()
-        head, length = entry
-        raw = self._pager.read_chain(head, length)
-        obj = decode_value(raw, resolver=self.load)
-        self._cache[key] = obj
-        self._note_size(key, len(raw))
-        if _tracks_identity(obj):
-            self._oid_by_identity[id(obj)] = key
-        self._evict()
-        return obj
+        with self._cache_lock:
+            cached = self._cache.get(key, _MISSING)
+            if cached is not _MISSING:
+                if self._cache_limit is not None:
+                    self._cache.move_to_end(key)
+                return cached
+            entry = self._table.get(key)
+            if entry is None or self._pager is None:
+                raise HeapError(f"unknown oid {key}")
+            _HEAP_FAULTS.inc()
+            head, length = entry
+            raw = self._pager.read_chain(head, length)
+            obj = decode_value(raw, resolver=self.load)
+            self._cache[key] = obj
+            self._note_size(key, len(raw))
+            if _tracks_identity(obj):
+                self._oid_by_identity[id(obj)] = key
+            self._evict()
+            return obj
 
     def update(self, oid: Oid | int, obj: Any = None) -> None:
         """Mark an object dirty; optionally replace its value."""
@@ -634,24 +641,25 @@ class ObjectHeap:
         if limit is None:
             _HEAP_CACHED.set(len(self._cache))
             return
-        if len(self._cache) > limit:
-            evictable = [
-                key
-                for key in self._cache  # oldest first
-                if key in self._table and key not in self._dirty
-            ]
-            for key in evictable[: len(self._cache) - limit]:
-                # concurrent snapshot readers may race on faulting/evicting;
-                # a key another thread already dropped is simply skipped
-                obj = self._cache.pop(key, _MISSING)
-                if obj is _MISSING:
-                    continue
-                if _tracks_identity(obj):
-                    self._oid_by_identity.pop(id(obj), None)
-                self._forget_size(key)
-                _HEAP_EVICTIONS.inc()
-        _HEAP_CACHED.set(len(self._cache))
-        _HEAP_CACHED_BYTES.set(self._cached_bytes)
+        with self._cache_lock:
+            if len(self._cache) > limit:
+                evictable = [
+                    key
+                    for key in self._cache  # oldest first
+                    if key in self._table and key not in self._dirty
+                ]
+                for key in evictable[: len(self._cache) - limit]:
+                    # a writer may drop cached keys without this lock while
+                    # the memory watchdog evicts; a key gone already is skipped
+                    obj = self._cache.pop(key, _MISSING)
+                    if obj is _MISSING:
+                        continue
+                    if _tracks_identity(obj):
+                        self._oid_by_identity.pop(id(obj), None)
+                    self._forget_size(key)
+                    _HEAP_EVICTIONS.inc()
+            _HEAP_CACHED.set(len(self._cache))
+            _HEAP_CACHED_BYTES.set(self._cached_bytes)
 
     def _note_size(self, key: int, nbytes: int) -> None:
         old = self._sizes.get(key, 0)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -227,6 +228,9 @@ class Pager:
             raise PageError(f"unknown checksum kind {checksum!r}")
         self.path = os.fspath(path)
         self._open_file = file_factory or _default_file_factory
+        #: serialises each seek + read/write pair on the one shared file
+        #: object: concurrent snapshot readers fault pages in in parallel
+        self._io_lock = threading.Lock()
         #: LIFO of reusable page ids (shadow-paged: persisted by sync_header)
         self._free: list[int] = []
         self._free_set: set[int] = set()
@@ -369,8 +373,9 @@ class Pager:
         return self.page_capacity - _CHAIN_LINK
 
     def _read_raw(self, page_id: int) -> bytes:
-        self._file.seek(page_id * self.header.page_size)
-        raw = _read_exact(self._file, self.header.page_size)
+        with self._io_lock:
+            self._file.seek(page_id * self.header.page_size)
+            raw = _read_exact(self._file, self.header.page_size)
         _PAGE_READS.inc()
         _BYTES_READ.inc(self.header.page_size)
         return raw
@@ -379,8 +384,9 @@ class Pager:
         if len(data) > self.header.page_size:
             raise PageError("page overflow")
         padded = data + b"\x00" * (self.header.page_size - len(data))
-        self._file.seek(page_id * self.header.page_size)
-        self._file.write(padded)
+        with self._io_lock:
+            self._file.seek(page_id * self.header.page_size)
+            self._file.write(padded)
         _PAGE_WRITES.inc()
         _BYTES_WRITTEN.inc(len(data))
 

@@ -28,7 +28,8 @@ bytes die with the "machine"): the restore point is lost and the restore
 MUST fail — CI inverts the invocation, so a passing negative control
 means the lost-restore-point detector is broken.
 
-Wired as ``scripts/recovery_sim.py`` / ``make recovery-sim``.
+The ``recovery`` suite of :mod:`repro.sim`: ``scripts/sim.py recovery`` /
+``make recovery-sim``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import os
 import threading
 import time
 
-from repro.obs.metrics import METRICS
 from repro.server.client import ClientError, ServerError, connect
 from repro.server.daemon import ReproServer, ServerConfig
+from repro.sim import scenarios, wait_until
 from repro.store.faults import FaultPlan
 from repro.store.fsck import fsck_image
 from repro.store.heap import HeapError, ObjectHeap
@@ -53,38 +54,16 @@ from repro.store.recovery import (
 )
 
 __all__ = [
+    "NEGATIVE_CONTROL",
     "RecoveryError",
     "RecoveryHarness",
-    "ScenarioResult",
     "build_scenarios",
     "scenario_negative_control",
-    "run_sweep",
 ]
-
-_SCENARIOS = METRICS.counter("store.recoverysim.scenarios", "recovery scenarios run")
-_FAILURES = METRICS.counter("store.recoverysim.failures", "recovery scenarios failed")
 
 
 class RecoveryError(AssertionError):
     """A scenario invariant was violated."""
-
-
-class ScenarioResult:
-    def __init__(self, name, ok, detail="", elapsed_s=0.0, checks=None):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.elapsed_s = elapsed_s
-        self.checks = checks or {}
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "checks": self.checks,
-        }
 
 
 class RecoveryHarness:
@@ -178,14 +157,10 @@ class RecoveryHarness:
     def wait_replica_caught_up(self, timeout: float = 15.0) -> None:
         if self.replica is None:
             return
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.replica.repl_version() == self.server.repl_version():
-                return
-            time.sleep(0.02)
-        raise RecoveryError(
-            f"replica never caught up (replica at {self.replica.repl_version()}, "
-            f"primary at {self.server.repl_version()})"
+        wait_until(
+            lambda: self.replica.repl_version() == self.server.repl_version(),
+            timeout,
+            "replica never caught up with the primary",
         )
 
     def flip_cold_replica_page(self) -> int:
@@ -465,11 +440,7 @@ def scenario_negative_control(root: str) -> dict:
 def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
     """(name, thunk(root)) pairs: the PITR flow, bit-rot repair, and the
     crash-mid-backup / crash-mid-restore injections at several positions."""
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append((name, lambda root, a=args, k=kwargs: fn(root, *a, **k)))
-
+    found, add = scenarios()
     add("pitr/poison-restore", scenario_pitr_poison, quick)
     add("bitrot/scrub-repair", scenario_bitrot_repair, quick)
     nths = [2] if quick else [1, 2, 6]
@@ -477,46 +448,7 @@ def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
         add(f"crash/mid-backup/n{nth}", scenario_crash_mid_backup, nth)
     for nth in nths:
         add(f"crash/mid-restore/n{nth}", scenario_crash_mid_restore, nth)
-    return scenarios
+    return found
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [("negative-control/no-archive-fsync", scenario_negative_control)]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+NEGATIVE_CONTROL = ("negative-control/no-archive-fsync", scenario_negative_control)

@@ -188,7 +188,7 @@ class TestCommitIoFailure:
         commit-point header write specifically (in-memory table already
         mutated), then prove the next successful commit does NOT publish
         the torn state.  With ``unsafe_no_degraded`` the same arming
-        resurrects the value — scripts/exhaustion_sim.py --negative-control.
+        resurrects the value — scripts/sim.py exhaustion --negative-control.
         """
         instance, plan = _faulty_server(tmp_path)
         try:
@@ -420,9 +420,11 @@ class TestTopDashboard:
 
 class TestReplicationDegradedPush:
     def test_follower_surfaces_primary_degraded(self, tmp_path):
+        # no background probe: its empty commit would ship a record and
+        # clear the follower's flag before the poll below could see it
         primary = ReproServer(
             str(tmp_path / "p.tyc"),
-            _config(replicate=True, node_id="p"),
+            _config(replicate=True, node_id="p", degraded_probe_interval=None),
         )
         primary.start()
         replica = ReproServer(
@@ -453,6 +455,78 @@ class TestReplicationDegradedPush:
             wait_until(
                 lambda: not replica.follower.primary_degraded,
                 message="follower never cleared primary_degraded",
+            )
+        finally:
+            replica.stop()
+            primary.stop()
+
+    def test_degraded_push_never_overtakes_a_queued_record(self, tmp_path):
+        """A record committed before the failure is pushed before the
+        degraded frame: the record would otherwise clear the follower's
+        flag after it was set.  The subscriber's sender thread is held
+        inside its first send while the primary degrades."""
+        primary = ReproServer(
+            str(tmp_path / "p.tyc"),
+            _config(replicate=True, node_id="p", degraded_probe_interval=None),
+        )
+        primary.start()
+        frames, in_send, release = [], threading.Event(), threading.Event()
+
+        def send(frame):
+            if frame.get("push") == "record" and not in_send.is_set():
+                in_send.set()
+                release.wait(timeout=10)
+            frames.append(frame.get("push"))
+
+        replication = primary.replication
+        try:
+            replication.subscribe(
+                99, "fake", primary.repl_version(), replication.term, send
+            )
+            with connect(primary.port) as db:
+                db.set("seed", 1)  # queued for the subscriber
+            assert in_send.wait(timeout=10)
+            primary.enter_degraded("primary disk failed")
+            release.set()
+            wait_until(lambda: len(frames) >= 2, message="both pushes sent")
+            assert frames == ["record", "degraded"]
+        finally:
+            release.set()
+            replication.drop_subscriber(99)
+            primary.stop()
+
+    def test_probe_recovery_clears_follower_flag(self, tmp_path):
+        """The recovery probe's empty commit ships a record like any other
+        commit, so a successful probe on a degraded primary also clears
+        the follower's ``primary_degraded``."""
+        primary = ReproServer(
+            str(tmp_path / "p.tyc"),
+            _config(replicate=True, node_id="p", degraded_probe_interval=None),
+        )
+        primary.start()
+        replica = ReproServer(
+            str(tmp_path / "r.tyc"),
+            _config(replica_of=("127.0.0.1", primary.port), node_id="r"),
+        )
+        replica.start()
+        try:
+            with connect(primary.port) as db:
+                db.set("seed", 1)
+            wait_until(
+                lambda: replica.follower is not None
+                and replica.follower.version >= 1,
+                message="replica never caught up",
+            )
+            primary.enter_degraded("primary disk failed")
+            wait_until(
+                lambda: replica.follower.primary_degraded,
+                message="degraded push never reached the follower",
+            )
+            assert primary._probe_recovery() is True
+            assert not primary.degraded_info()["active"]
+            wait_until(
+                lambda: not replica.follower.primary_degraded,
+                message="probe commit never cleared primary_degraded",
             )
         finally:
             replica.stop()

@@ -1,5 +1,7 @@
 """Tests for the bounded clean-object cache (ObjectHeap(cache_limit=N))."""
 
+import threading
+
 import pytest
 
 from repro.store.heap import HeapError, ObjectHeap
@@ -97,3 +99,68 @@ def test_in_memory_heap_accepts_limit():
     heap.commit()
     for i, oid in enumerate(oids):
         assert heap.load(oid) == (i,)
+
+
+class _HandoffFile:
+    """A pass-through image file whose ``seek`` calls ``hook(offset)``
+    before returning, so a test can hand control to another reader in the
+    gap between a page read's seek and its read."""
+
+    def __init__(self, path, mode, hook):
+        self._file = open(path, mode)
+        self._hook = hook
+
+    def seek(self, offset, whence=0):
+        position = self._file.seek(offset, whence)
+        self._hook(offset)
+        return position
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+@pytest.mark.parametrize("read", ["load", "committed_payload"])
+def test_concurrent_page_reads_do_not_interleave(path, read):
+    """Reader A seeks to its page, then reader B runs to completion before A
+    reads.  On one shared file object without serialisation A then reads
+    the page *after* B's — object C's, of the same length, so A silently
+    gets another object's value.  Serialised, B blocks until A is done and
+    the bounded hand-off wait simply expires."""
+    heap = ObjectHeap(path)
+    oids = {name: heap.store(name * 100) for name in "ABC"}  # pages in order
+    heap.commit()
+    expected = {name: getattr(heap, read)(oid) for name, oid in oids.items()}
+    heap.close()
+
+    results = {}
+    b_done = threading.Event()
+    handed_off = []
+
+    def reader(name):
+        try:
+            results[name] = getattr(heap, read)(oids[name])
+        except Exception as exc:
+            results[name] = exc
+        finally:
+            if name == "B":
+                b_done.set()
+
+    reader_b = threading.Thread(target=reader, args=("B",))
+
+    def hook(offset):
+        if threading.current_thread().name == "reader-A" and not handed_off:
+            handed_off.append(offset)
+            reader_b.start()
+            b_done.wait(timeout=1.0)
+
+    heap = ObjectHeap(path, io_factory=lambda p, m: _HandoffFile(p, m, hook))
+    try:
+        reader_a = threading.Thread(target=reader, args=("A",), name="reader-A")
+        reader_a.start()
+        reader_a.join(timeout=10)
+        reader_b.join(timeout=10)
+        assert not reader_a.is_alive() and not reader_b.is_alive()
+    finally:
+        heap.close()
+    assert handed_off
+    assert results == {"A": expected["A"], "B": expected["B"]}
